@@ -113,9 +113,10 @@ func (g *geoCache) Lookup(day simtime.Day, addr netip.Addr) (string, bool) {
 // change across days only when the geo version changes.
 type classifierFor func(g geoLookup) func(day simtime.Day, cfg store.Config) Composition
 
-// segment is a maximal run of day indices sharing one geo version, so a
-// classification made for any day inside it holds across all of it.
-type segment struct{ lo, hi int }
+// segment is a maximal run of day indices [lo, hi) sharing one version
+// ver (geo or route), so a classification made for any day inside it
+// holds across all of it.
+type segment struct{ lo, hi, ver int }
 
 // geoSegments splits the day axis at geolocation snapshot boundaries.
 func (a *Analyzer) geoSegments(days []simtime.Day) []segment {
@@ -129,7 +130,7 @@ func (a *Analyzer) geoSegments(days []simtime.Day) []segment {
 		for j < len(days) && a.Geo.Version(days[j]) == v {
 			j++
 		}
-		segs = append(segs, segment{lo: i, hi: j})
+		segs = append(segs, segment{lo: i, hi: j, ver: v})
 		i = j
 	}
 	return segs

@@ -68,7 +68,7 @@ func (a *Analyzer) RelocationLatency(asn netsim.ASN, event simtime.Day, until si
 		sr := &shards[shard]
 		for i := lo; i < hi; i++ {
 			cfg, ok := snap.At(i, event)
-			if !ok || !snap.MeasuredAt(i, event) || cfg.Failed || !a.hostASNs(cfg)[asn] {
+			if !ok || !snap.MeasuredAt(i, event) || cfg.Failed || !a.hostedIn(cfg, asn) {
 				continue
 			}
 			relocated := false
@@ -82,7 +82,7 @@ func (a *Analyzer) RelocationLatency(asn netsim.ASN, event simtime.Day, until si
 				if cfg.Failed {
 					continue
 				}
-				if !a.hostASNs(cfg)[asn] {
+				if !a.hostedIn(cfg, asn) {
 					sr.Relocated++
 					sr.Delays = append(sr.Delays, d.Sub(event))
 					relocated = true

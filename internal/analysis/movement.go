@@ -96,7 +96,7 @@ func (a *Analyzer) MovementAnalysis(asn netsim.ASN, from, to simtime.Day, whois 
 		for i := lo; i < hi; i++ {
 			cfgFrom, okFrom := snap.At(i, from)
 			memberFrom := okFrom && snap.MeasuredAt(i, from) && !cfgFrom.Failed
-			original := memberFrom && a.hostASNs(cfgFrom)[asn]
+			original := memberFrom && a.hostedIn(cfgFrom, asn)
 			if original {
 				sm.Original++
 			}
@@ -108,7 +108,7 @@ func (a *Analyzer) MovementAnalysis(asn netsim.ASN, from, to simtime.Day, whois 
 				}
 				continue
 			}
-			inASN := a.hostASNs(cfgTo)[asn]
+			inASN := a.hostedIn(cfgTo, asn)
 			switch {
 			case original && inASN:
 				sm.Remained++

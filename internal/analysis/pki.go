@@ -4,7 +4,7 @@ import (
 	"sort"
 
 	"whereru/internal/ct"
-	"whereru/internal/dns"
+	"whereru/internal/idn"
 	"whereru/internal/pki"
 	"whereru/internal/sanctions"
 	"whereru/internal/scan"
@@ -208,13 +208,10 @@ func RevocationStats(log *ct.Log, crls CRLSource, sanc *sanctions.List, topK int
 	return out
 }
 
+// certSanctioned reports whether any name the certificate secures is
+// covered by the sanctions list.
 func certSanctioned(c *pki.Certificate, sanc *sanctions.List) bool {
-	for _, n := range c.Names() {
-		if sanc.ContainsEver(n) {
-			return true
-		}
-	}
-	return false
+	return c.AnyName(sanc.ContainsEver)
 }
 
 // RussianCAReport is the §4.3 analysis of the Russian Trusted Root CA,
@@ -246,10 +243,10 @@ func RussianCAImpact(archive *scan.Archive, sanc *sanctions.List) RussianCARepor
 		rep.UniqueCerts++
 		isSanc := false
 		for _, name := range c.Names() {
-			switch dns.TLD(name) {
+			switch pki.RussianTLD(name) {
 			case "ru":
 				ruSeen[name] = true
-			case "xn--p1ai":
+			case idn.RFTLDASCII:
 				rfSeen[name] = true
 			default:
 				otherSeen[name] = true

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"fmt"
+	"math/rand"
+	"net/netip"
 	"testing"
 
 	"whereru/internal/ct"
@@ -141,5 +143,81 @@ func TestRussianCAImpactEmptyArchive(t *testing.T) {
 	rep := RussianCAImpact(scan.NewArchive(), sanctions.NewList())
 	if rep.UniqueCerts != 0 || rep.BackdropCerts != 0 {
 		t.Fatalf("empty archive report = %+v", rep)
+	}
+}
+
+// namesCertSanctioned is the Names()-based certSanctioned that the
+// allocation-free walk replaced, kept as its oracle.
+func namesCertSanctioned(c *pki.Certificate, sanc *sanctions.List) bool {
+	for _, n := range c.Names() {
+		if sanc.ContainsEver(n) {
+			return true
+		}
+	}
+	return false
+}
+
+func TestCertSanctionedAgreesWithNamesOracle(t *testing.T) {
+	sanc := sanctions.NewList()
+	for _, d := range []string{"bad.ru", "Sanc.RU.", "xn--e1afmkfd.xn--p1ai", "evil.com"} {
+		sanc.Add(sanctions.Entry{Domain: d, Listed: simtime.SanctionsInEffect})
+	}
+	pool := []string{
+		"", ".", "bad.ru.", "BAD.RU", "www.Bad.Ru.", "sanc.ru", "notbad.ru.",
+		"XN--E1AFMKFD.XN--P1AI.", "shop.xn--e1afmkfd.xn--p1ai", "evil.com.",
+		"example.com", "EXAMPLE.RU.", "ru.", "bad.ru.example.com.",
+	}
+	rng := rand.New(rand.NewSource(7))
+	hits := 0
+	for i := 0; i < 3000; i++ {
+		c := &pki.Certificate{}
+		if rng.Intn(4) != 0 {
+			c.SubjectCN = pool[rng.Intn(len(pool))]
+		}
+		for j, n := 0, rng.Intn(4); j < n; j++ {
+			if len(c.SANs) > 0 && rng.Intn(3) == 0 {
+				c.SANs = append(c.SANs, c.SANs[0])
+				continue
+			}
+			c.SANs = append(c.SANs, pool[rng.Intn(len(pool))])
+		}
+		got, want := certSanctioned(c, sanc), namesCertSanctioned(c, sanc)
+		if got != want {
+			t.Fatalf("certSanctioned(cn=%q sans=%q) = %v, oracle %v", c.SubjectCN, c.SANs, got, want)
+		}
+		if got {
+			hits++
+		}
+	}
+	if hits == 0 || hits == 3000 {
+		t.Fatalf("generated certificates all classify the same way (%d sanctioned)", hits)
+	}
+}
+
+// TestRussianCAImpactMixedCase pins the TLD split to the footnote-6
+// matcher's case folding: a certificate decoded with upper-case names
+// still counts its .ru and .рф names as such, not as "other".
+func TestRussianCAImpactMixedCase(t *testing.T) {
+	c := &pki.Certificate{
+		Serial: 1, IssuerOrg: pki.RussianTrustedRootCA, RootOrg: pki.RussianTrustedRootCA,
+		SubjectCN: "WWW.Example.RU.",
+		SANs:      []string{"WWW.Example.RU.", "Shop.XN--P1AI", "Example.COM."},
+	}
+	if !c.MatchesRussianTLD() {
+		t.Fatal("footnote-6 matcher must fold case")
+	}
+	archive := scan.NewArchive()
+	day := simtime.SanctionsInEffect
+	archive.Record(day, []scan.Observation{{Addr: netip.MustParseAddr("192.0.2.1"), Day: day, Chain: []*pki.Certificate{c}}})
+	sanc := sanctions.NewList()
+	sanc.Add(sanctions.Entry{Domain: "example.ru", Listed: day})
+
+	rep := RussianCAImpact(archive, sanc)
+	want := RussianCAReport{
+		UniqueCerts: 1, RuDomains: 1, RFDomains: 1, OtherTLDNames: 1,
+		SanctionedCerts: 1, SanctionedDomains: 1,
+	}
+	if rep != want {
+		t.Fatalf("report = %+v, want %+v", rep, want)
 	}
 }

@@ -55,7 +55,7 @@ func routeSegments(oracle RouteOracle, days []simtime.Day) []segment {
 		for j < len(days) && oracle.Version(days[j]) == v {
 			j++
 		}
-		segs = append(segs, segment{lo: i, hi: j})
+		segs = append(segs, segment{lo: i, hi: j, ver: v})
 		i = j
 	}
 	return segs
@@ -231,8 +231,7 @@ func (a *Analyzer) ReachabilitySeries(days []simtime.Day, filter Filter) []Reach
 				if l >= h {
 					continue
 				}
-				day := days[l]
-				ver := oracle.Version(day)
+				day, ver := days[l], sg.ver
 				anyReach := false
 				for k := range cSeen {
 					delete(cSeen, k)
@@ -487,8 +486,7 @@ func (a *Analyzer) RouteLatencySeries(days []simtime.Day, filter Filter) []Route
 				if l >= h {
 					continue
 				}
-				day := days[l]
-				ver := oracle.Version(day)
+				day, ver := days[l], sg.ver
 				best, routed := time.Duration(0), false
 				for k := range cSeen {
 					delete(cSeen, k)

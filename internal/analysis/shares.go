@@ -151,6 +151,17 @@ func (a *Analyzer) referenceASNShareSeries(days []simtime.Day, filter Filter) []
 	return out
 }
 
+// hostedIn reports whether any of a config's apex addresses originates
+// from asn: hostASNs(cfg)[asn] without building the set.
+func (a *Analyzer) hostedIn(cfg store.Config, asn netsim.ASN) bool {
+	for _, addr := range cfg.ApexAddrs {
+		if origin, ok := a.Internet.OriginAS(addr); ok && origin == asn {
+			return true
+		}
+	}
+	return false
+}
+
 // hostASNs returns the set of ASNs a config's apex addresses originate
 // from.
 func (a *Analyzer) hostASNs(cfg store.Config) map[netsim.ASN]bool {

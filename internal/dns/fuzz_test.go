@@ -68,6 +68,9 @@ func FuzzName(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := TLD(s), labelsTLD(s); got != want {
+			t.Fatalf("TLD(%q) = %q, Labels-based definition gives %q", s, got, want)
+		}
 		name := Canonical(s)
 		if !ValidName(name) {
 			return

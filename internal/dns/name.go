@@ -84,12 +84,10 @@ func Parent(name string) string {
 
 // TLD returns the rightmost label of a canonical name (without the root
 // dot), or "" for the root itself. TLD("ns1.example.com.") is "com".
+// It is the last element of Labels(name), found without splitting.
 func TLD(name string) string {
-	labels := Labels(name)
-	if len(labels) == 0 {
-		return ""
-	}
-	return labels[len(labels)-1]
+	name = strings.TrimSuffix(name, ".")
+	return name[strings.LastIndexByte(name, '.')+1:]
 }
 
 // IsSubdomain reports whether child is equal to or ends with parent

@@ -90,6 +90,10 @@ type Topology struct {
 	links  []link
 	ixps   map[string]*ixp
 	events []RouteEvent
+	// bounds holds the sorted distinct days on which the route state
+	// changes: each event window's first day and the day after its last.
+	// addEvent keeps it current, so Version is one binary search.
+	bounds []simtime.Day
 
 	// routers memoizes one Router per vantage so repeated Router() calls
 	// share the per-version route tables.
@@ -199,6 +203,20 @@ func (t *Topology) addEvent(ev RouteEvent) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.events = append(t.events, ev)
+	t.addBound(ev.Window.From)
+	t.addBound(ev.Window.To + 1)
+}
+
+// addBound inserts day into the sorted bounds unless already present.
+// The caller holds t.mu.
+func (t *Topology) addBound(day simtime.Day) {
+	i := sort.Search(len(t.bounds), func(i int) bool { return t.bounds[i] >= day })
+	if i < len(t.bounds) && t.bounds[i] == day {
+		return
+	}
+	t.bounds = append(t.bounds, 0)
+	copy(t.bounds[i+1:], t.bounds[i:])
+	t.bounds[i] = day
 }
 
 // Events returns the scheduled route events sorted by (window start, key)
@@ -224,26 +242,9 @@ func (t *Topology) Events() []RouteEvent {
 // (epoch × route-version window) and routers cache one table per version
 // (the same segmentation trick geo.DB.Version enables for geolocation).
 func (t *Topology) Version(day simtime.Day) int {
-	bounds := t.boundaries()
-	return sort.Search(len(bounds), func(i int) bool { return bounds[i] > day })
-}
-
-// boundaries returns the sorted distinct days on which the route state
-// changes: each event window's first day and the day after its last.
-func (t *Topology) boundaries() []simtime.Day {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	set := make(map[simtime.Day]bool, 2*len(t.events))
-	for _, ev := range t.events {
-		set[ev.Window.From] = true
-		set[ev.Window.To+1] = true
-	}
-	out := make([]simtime.Day, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sort.Search(len(t.bounds), func(i int) bool { return t.bounds[i] > day })
 }
 
 // severed reports whether any event active on day cuts the adjacency

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 
 	"whereru/internal/dns"
 	"whereru/internal/idn"
@@ -62,16 +63,55 @@ func (c *Certificate) Names() []string {
 	return out
 }
 
-// MatchesRussianTLD reports whether the CN or any SAN is under .ru or .рф
-// — the paper's criterion for a certificate "matching" (footnote 6).
-func (c *Certificate) MatchesRussianTLD() bool {
-	for _, n := range c.Names() {
-		tld := dns.TLD(dns.Canonical(n))
-		if tld == "ru" || tld == idn.RFTLDASCII {
+// AnyName reports whether pred holds for any name the certificate
+// secures: the CN (when set) or a SAN. It is Names() without the set,
+// the sort and the allocations, for predicates where order and
+// duplicates do not matter.
+func (c *Certificate) AnyName(pred func(name string) bool) bool {
+	if c.SubjectCN != "" && pred(c.SubjectCN) {
+		return true
+	}
+	for _, n := range c.SANs {
+		if pred(n) {
 			return true
 		}
 	}
 	return false
+}
+
+// MatchesRussianTLD reports whether the CN or any SAN is under .ru or .рф
+// — the paper's criterion for a certificate "matching" (footnote 6).
+func (c *Certificate) MatchesRussianTLD() bool {
+	return c.AnyName(func(n string) bool { return RussianTLD(n) != "" })
+}
+
+// RussianTLD returns "ru" or idn.RFTLDASCII when name's TLD is .ru or
+// .рф (in ACE form), and "" otherwise. The match ignores case and an
+// optional root dot: it equals dns.TLD(dns.Canonical(name)) tested
+// against the two spellings, without allocating.
+func RussianTLD(name string) string {
+	tld := dns.TLD(name)
+	for _, want := range [...]string{"ru", idn.RFTLDASCII} {
+		if lowerEquals(tld, want) {
+			return want
+		}
+	}
+	return ""
+}
+
+// lowerEquals reports whether strings.ToLower(s) == lower for an ASCII
+// lower, rune by rune as ToLower maps them (so a non-ASCII rune whose
+// lower case is ASCII, like U+0130 'İ' → 'i', matches as ToLower would,
+// where strings.EqualFold would not).
+func lowerEquals(s, lower string) bool {
+	j := 0
+	for _, r := range s {
+		if j == len(lower) || unicode.ToLower(r) != rune(lower[j]) {
+			return false
+		}
+		j++
+	}
+	return j == len(lower)
 }
 
 // ValidOn reports whether day falls inside the validity window.
